@@ -193,7 +193,7 @@ def bench_gf16_wide(chunk_bytes: int, repeats: int) -> Dict[str, Dict]:
     available = {i: c for i, c in enumerate(chunks) if i not in erased}
     dec_bytes = len(erased) * chunk_bytes
     dec = _best_seconds(lambda: code.decode(available, erased), repeats)
-    # Warm-pattern fused path: recovery matrix + packed gather tables
+    # Warm-pattern fused path: recovery matrix + combined gather tables
     # cached, so this is the steady-state repair-storm throughput.
     code.decode(available, erased)
     fused = _best_seconds(lambda: code.decode(available, erased), repeats)

@@ -19,8 +19,12 @@ from repro.dfs.blocks import ChunkMeta
 
 
 def chunk_checksum(data: np.ndarray) -> int:
-    """CRC32 of a chunk's bytes (what HDFS stores per block)."""
-    return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8).tobytes())
+    """CRC32 of a chunk's bytes (what HDFS stores per block).
+
+    ``zlib.crc32`` reads a contiguous array through the buffer protocol,
+    so a contiguous ``uint8`` chunk is checksummed without a copy.
+    """
+    return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8))
 
 
 class ChecksumRegistry:

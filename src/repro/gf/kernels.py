@@ -15,11 +15,16 @@ contiguous data. This module is the numpy rendition of that idea:
   never from an 8 GiB product table). Both are position-preserving
   per-byte/symbol maps, so they are endianness-independent.
 * **Multiply plans** — :class:`MulPlan8` / :class:`MulPlan16` precompute,
-  for a fixed coefficient matrix, one *combined* ``(65536, m)`` table per
+  for a fixed coefficient matrix, one *combined* ``(65536, W)`` table per
   input row: a single ``np.take`` then yields the contribution of that
-  input row to **all** ``m`` outputs. Plans are built once per generator
-  (cached on the :class:`~repro.codes.base.ErasureCode` and in a global
-  LRU keyed by matrix bytes) and reused across every stripe of a code.
+  input row to **all** ``m`` outputs. Both fields share this one path.
+  ``W`` is ``m`` rounded up to a power of two (padding lanes are zero),
+  because ``np.take`` copies 2-, 4-, 8- and 16-byte rows with fixed-size
+  moves but calls ``memmove`` per row for any other size: the 6-byte rows
+  of an r = 3 parity matrix gathered about 2x slower than 8-byte ones.
+  Plans are built once per generator (cached on the
+  :class:`~repro.codes.base.ErasureCode` and in a global LRU keyed by
+  matrix bytes) and reused across every stripe of a code.
 * **Cache blocking** — ``apply`` walks the byte axis in tiles sized so
   the accumulator + gather scratch stay within :data:`TILE_BYTES`
   regardless of chunk length; no ``(m, n, k)`` intermediate is ever
@@ -57,14 +62,9 @@ KERNEL_MIN_BYTES = 4096
 TILE_BYTES = 1 << 22
 
 #: Widest output (row count) a combined per-column table is built for.
-#: Beyond this the (65536, m) tables outgrow L2 and the row-loop wins.
+#: Tables are padded to a power-of-two width W >= m (1, 2, 4 or 8 lanes);
+#: beyond 8 the (65536, W) tables outgrow L2 and the row-loop wins.
 COMBINE_MAX_ROWS = 8
-
-#: Widest GF(2^16) output packed into single-uint64-lane tables. Up to
-#: four 16-bit products ride one (65536,) uint64 gather, so a narrow
-#: matrix (fused recovery, parity rows of a wide code) costs one gather
-#: per input column instead of one per (row, column).
-PACK_MAX_ROWS = 4
 
 #: LRU capacities: whole plans (global) and per-coefficient tables.
 _PLAN_CACHE_MAX = 16
@@ -73,10 +73,10 @@ _COEFF_CACHE_MAX = 256
 #: Failure patterns a per-code pattern LRU holds (distinct
 #: (available, erased) sets; a cluster repairing one node failure sees a
 #: handful — one per failed chunk position).
+#: Worst case resident: a combined plan is 128 KiB x W x k (3 MiB for the
+#: CC(6,9) encode, W = 4), so 16 plans or 32 patterns of k = 12 reach 192
+#: or 384 MiB, plus 32 MiB of per-coefficient tables per field.
 _PATTERN_CACHE_MAX = 32
-
-_PAIR_IDX_LO = np.arange(1 << 16, dtype=np.uint32) & 0xFF
-_PAIR_IDX_HI = np.arange(1 << 16, dtype=np.uint32) >> 8
 
 #: Process-wide hit/miss/eviction counters across every kernel cache
 #: (global plan LRUs, per-coefficient table LRUs, per-code pattern LRUs).
@@ -120,8 +120,10 @@ def pair_table8(c: int) -> np.ndarray:
     """(65536,) uint16 table: byte-pair ``x`` -> ``(c*x_lo, c*x_hi)``."""
 
     def build() -> np.ndarray:
+        # Entry hi*256 + lo of the (256, 256) outer combination is the
+        # pair (lo, hi): one broadcast pass, no index gathers.
         row = _MUL_TABLE[c].astype(np.uint16)
-        return (row[_PAIR_IDX_LO] | (row[_PAIR_IDX_HI] << 8)).astype(np.uint16)
+        return ((row[:, None] << 8) | row).ravel()
 
     return _cache_get(_pair8_cache, int(c), build)
 
@@ -140,7 +142,7 @@ def mul_table16(c: int) -> np.ndarray:
         half = np.arange(256, dtype=np.uint16)
         lo_tab = gf16_mul(np.uint16(c), half)
         hi_tab = gf16_mul(np.uint16(gf16_mul(int(c), 0x100)), half)
-        return (lo_tab[_PAIR_IDX_LO] ^ hi_tab[_PAIR_IDX_HI]).astype(np.uint16)
+        return (hi_tab[:, None] ^ lo_tab).ravel()
 
     return _cache_get(_full16_cache, int(c), build)
 
@@ -152,70 +154,24 @@ def mul_table16(c: int) -> np.ndarray:
 def _combined_tables(
     coeffs: np.ndarray, cols: List[int], table_fn
 ) -> List[np.ndarray]:
-    """One (65536, m) uint16 table per nonzero input row of ``coeffs``."""
+    """One (65536, W) uint16 table per nonzero input row of ``coeffs``.
+
+    Lane ``i < m`` of row ``x`` is ``coeffs[i, t] * x``. W is the
+    smallest power of two >= m; the ``W - m`` padding lanes stay zero, so
+    they multiply to zero and :func:`_apply_combined` never writes them
+    back.
+    """
     m = coeffs.shape[0]
+    width = 1 << max(m - 1, 0).bit_length()
     out = []
     for t in cols:
-        tab = np.zeros((1 << 16, m), dtype=np.uint16)
+        tab = np.zeros((1 << 16, width), dtype=np.uint16)
         for i in range(m):
             c = int(coeffs[i, t])
             if c:
                 tab[:, i] = table_fn(c)
-        out.append(np.ascontiguousarray(tab))
-    return out
-
-
-def _packed_tables(
-    coeffs: np.ndarray, cols: List[int], table_fn
-) -> List[np.ndarray]:
-    """One (65536,) uint64 table per nonzero input row: the ``m <= 4``
-    per-output products for a symbol packed into one 64-bit lane."""
-    m = coeffs.shape[0]
-    out = []
-    for t in cols:
-        tab = np.zeros(1 << 16, dtype=np.uint64)
-        for i in range(m):
-            c = int(coeffs[i, t])
-            if c:
-                tab |= table_fn(c).astype(np.uint64) << np.uint64(16 * i)
         out.append(tab)
     return out
-
-
-def _apply_packed(
-    tables: List[np.ndarray],
-    cols: List[int],
-    b16: np.ndarray,
-    out16: np.ndarray,
-) -> None:
-    """out16 (m, L) rows unpacked from a single uint64 gather per column.
-
-    One ``np.take`` per input column produces all ``m`` output rows at
-    once (XOR distributes over the packed lanes), so a narrow fused
-    recovery or parity matrix costs ``k`` gathers total instead of
-    ``k`` per output row — the dominant win for wide GF(2^16) codes.
-    """
-    if not tables:
-        return  # all-zero coefficients: out16 is already zeroed
-    m, n16 = out16.shape
-    # acc + tmp (two (w,) uint64 buffers) together fill the tile budget.
-    w = max(1024, TILE_BYTES // 16)
-    acc = np.empty(min(w, n16), dtype=np.uint64)
-    tmp = np.empty_like(acc)
-    for start in range(0, n16, w):
-        stop = min(start + w, n16)
-        ww = stop - start
-        a = acc[:ww]
-        for j, (tab, t) in enumerate(zip(tables, cols)):
-            if j == 0:
-                np.take(tab, b16[t][start:stop], out=a, mode="clip")
-            else:
-                np.take(tab, b16[t][start:stop], out=tmp[:ww], mode="clip")
-                np.bitwise_xor(a, tmp[:ww], out=a)
-        out16[0, start:stop] = a.astype(np.uint16)
-        for i in range(1, m):
-            np.right_shift(a, np.uint64(16 * i), out=tmp[:ww])
-            out16[i, start:stop] = tmp[:ww].astype(np.uint16)
 
 
 def _apply_combined(
@@ -228,9 +184,10 @@ def _apply_combined(
     if not tables:
         return  # all-zero coefficients: out16 is already zeroed
     m, n16 = out16.shape
-    # Tile so acc + tmp (two (w, m) uint16 buffers) fit the tile budget.
-    w = max(1024, TILE_BYTES // (4 * max(m, 1)))
-    acc = np.empty((min(w, n16), m), dtype=np.uint16)
+    width = tables[0].shape[1]
+    # Tile so acc + tmp (two (w, W) uint16 buffers) fit the tile budget.
+    w = max(1024, TILE_BYTES // (4 * width))
+    acc = np.empty((min(w, n16), width), dtype=np.uint16)
     tmp = np.empty_like(acc)
     for start in range(0, n16, w):
         stop = min(start + w, n16)
@@ -246,7 +203,7 @@ def _apply_combined(
             else:
                 np.take(tab, b16[t][start:stop], axis=0, out=tmp[:ww], mode="clip")
                 np.bitwise_xor(a, tmp[:ww], out=a)
-        out16[:, start:stop] = a.T
+        out16[:, start:stop] = a[:, :m].T
 
 
 def _apply_rows8(
@@ -302,25 +259,23 @@ def _apply_rows16(
 # multiply plans
 # ---------------------------------------------------------------------------
 
-class MulPlan8:
-    """A reusable bulk-multiply plan for a fixed GF(2^8) matrix.
-
-    ``apply(b)`` computes ``coeffs @ b`` over GF(256) for bulk ``b``
-    without materialising an ``(m, n, k)`` intermediate. Build once per
-    generator (it gathers 128 KiB of tables per coefficient column) and
-    reuse across stripes; :func:`plan_for_matrix` does this caching.
-    """
+class _MulPlan:
+    """Construction and dispatch shared by :class:`MulPlan8` and
+    :class:`MulPlan16`: one combined table per nonzero input column when
+    ``m <= COMBINE_MAX_ROWS``, else the field's row-at-a-time loop."""
 
     def __init__(self, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.uint8)
+        coeffs = np.ascontiguousarray(coeffs, dtype=self.dtype)
         if coeffs.ndim != 2:
-            raise ValueError("MulPlan8 expects a 2-D coefficient matrix")
+            raise ValueError(
+                f"{type(self).__name__} expects a 2-D coefficient matrix"
+            )
         self.coeffs = coeffs
         self.m, self.k = coeffs.shape
         self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
         self.combined = self.m <= COMBINE_MAX_ROWS
         self.tables: List[np.ndarray] = (
-            _combined_tables(coeffs, self.cols, pair_table8)
+            _combined_tables(coeffs, self.cols, self._table)
             if self.combined
             else []
         )
@@ -329,14 +284,39 @@ class MulPlan8:
     def nbytes(self) -> int:
         return sum(t.nbytes for t in self.tables)
 
+    def _checked(self, b: np.ndarray) -> np.ndarray:
+        b = np.ascontiguousarray(b, dtype=self.dtype)
+        if b.ndim != 2 or b.shape[0] != self.k:
+            raise ValueError(
+                f"plan shape mismatch: {self.coeffs.shape} @ {b.shape}"
+            )
+        return b
+
+    def _run(self, b16, out16: np.ndarray) -> None:
+        if self.combined:
+            _apply_combined(self.tables, self.cols, b16, out16)
+        else:
+            self._rows(self.coeffs, self.cols, b16, out16)
+
+
+class MulPlan8(_MulPlan):
+    """A reusable bulk-multiply plan for a fixed GF(2^8) matrix.
+
+    ``apply(b)`` computes ``coeffs @ b`` over GF(256) for bulk ``b``
+    without materialising an ``(m, n, k)`` intermediate. Build once per
+    generator (it gathers 128 KiB of tables per output lane and
+    coefficient column) and reuse across stripes;
+    :func:`plan_for_matrix` does this caching.
+    """
+
+    dtype = np.uint8
+    _table = staticmethod(pair_table8)
+    _rows = staticmethod(_apply_rows8)
+
     def apply(self, b: np.ndarray, check: bool = True) -> np.ndarray:
         """``coeffs @ b`` over GF(256); ``b`` is (k, n) uint8."""
         if check:
-            b = np.ascontiguousarray(b, dtype=np.uint8)
-            if b.ndim != 2 or b.shape[0] != self.k:
-                raise ValueError(
-                    f"plan shape mismatch: {self.coeffs.shape} @ {b.shape}"
-                )
+            b = self._checked(b)
         n = b.shape[1]
         if n % 2:
             # Pad to an even byte count so the uint16 view is exact; the
@@ -345,62 +325,28 @@ class MulPlan8:
             padded[:, :n] = b
             return np.ascontiguousarray(self.apply(padded, check=False)[:, :n])
         out = np.zeros((self.m, n), dtype=np.uint8)
-        if n == 0:
-            return out
-        b16 = b.view(np.uint16)
-        out16 = out.view(np.uint16)
-        if self.combined:
-            _apply_combined(self.tables, self.cols, b16, out16)
-        else:
-            _apply_rows8(self.coeffs, self.cols, b16, out16)
+        if n:
+            self._run(b.view(np.uint16), out.view(np.uint16))
         return out
 
 
-class MulPlan16:
+class MulPlan16(_MulPlan):
     """A reusable bulk-multiply plan for a fixed GF(2^16) matrix.
 
     Same shape contract as :func:`repro.gf.field16.gf16_matmul`:
     ``apply(b)`` with ``b`` of uint16 symbols, (k, L) -> (m, L).
     """
 
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.uint16)
-        if coeffs.ndim != 2:
-            raise ValueError("MulPlan16 expects a 2-D coefficient matrix")
-        self.coeffs = coeffs
-        self.m, self.k = coeffs.shape
-        self.cols = [t for t in range(self.k) if coeffs[:, t].any()]
-        self.packed = self.m <= PACK_MAX_ROWS
-        self.combined = not self.packed and self.m <= COMBINE_MAX_ROWS
-        if self.packed:
-            self.tables: List[np.ndarray] = _packed_tables(
-                coeffs, self.cols, mul_table16
-            )
-        elif self.combined:
-            self.tables = _combined_tables(coeffs, self.cols, mul_table16)
-        else:
-            self.tables = []
-
-    @property
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)
+    dtype = np.uint16
+    _table = staticmethod(mul_table16)
+    _rows = staticmethod(_apply_rows16)
 
     def apply(self, b: np.ndarray, check: bool = True) -> np.ndarray:
         if check:
-            b = np.ascontiguousarray(b, dtype=np.uint16)
-            if b.ndim != 2 or b.shape[0] != self.k:
-                raise ValueError(
-                    f"plan shape mismatch: {self.coeffs.shape} @ {b.shape}"
-                )
+            b = self._checked(b)
         out = np.zeros((self.m, b.shape[1]), dtype=np.uint16)
-        if b.shape[1] == 0:
-            return out
-        if self.packed:
-            _apply_packed(self.tables, self.cols, b, out)
-        elif self.combined:
-            _apply_combined(self.tables, self.cols, b, out)
-        else:
-            _apply_rows16(self.coeffs, self.cols, b, out)
+        if b.shape[1]:
+            self._run(b, out)
         return out
 
     def apply_rows(self, rows: List[np.ndarray]) -> np.ndarray:
@@ -412,16 +358,9 @@ class MulPlan16:
         """
         if len(rows) != self.k:
             raise ValueError(f"plan expects {self.k} rows, got {len(rows)}")
-        n16 = len(rows[0])
-        out = np.zeros((self.m, n16), dtype=np.uint16)
-        if n16 == 0:
-            return out
-        if self.packed:
-            _apply_packed(self.tables, self.cols, rows, out)
-        elif self.combined:
-            _apply_combined(self.tables, self.cols, rows, out)
-        else:
-            _apply_rows16(self.coeffs, self.cols, rows, out)
+        out = np.zeros((self.m, len(rows[0])), dtype=np.uint16)
+        if out.shape[1]:
+            self._run(rows, out)
         return out
 
 

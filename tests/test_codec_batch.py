@@ -238,34 +238,86 @@ class TestFusedDecode:
         assert np.array_equal(rec[3], chunks[3])
 
 
-class TestPackedPlan16:
-    def test_packed_matches_reference(self):
-        from repro.gf.field16 import gf16_matmul_reference
-        from repro.gf.kernels import PACK_MAX_ROWS, MulPlan16
+class TestCombinedPlans:
+    """Both plans match the reference at every output width, whichever
+    kernel a plan dispatches to, and combined tables are power-of-two wide."""
 
+    # Small tiles make the short operands below straddle tile edges at
+    # every table width (1024 to 2048 symbols a tile).
+    SMALL_TILE = 1 << 13
+    # Lengths: tiny, odd, about one tile, several tiles plus a tail.
+    NBYTES = (1, 3, 2047, 4096, 8199)
+
+    @staticmethod
+    def _coeffs(rng, m, k, high):
+        coeffs = rng.integers(0, high, (m, k), dtype=np.int64)
+        coeffs[:, 1] = 0  # an all-zero input column is skipped
+        return coeffs
+
+    def test_plans_match_reference(self, monkeypatch):
+        from repro.gf.field16 import gf16_matmul_reference
+        from repro.gf.matrix import gf_matmul_reference
+
+        monkeypatch.setattr(kernels, "TILE_BYTES", self.SMALL_TILE)
         rng = np.random.default_rng(15)
-        for m in range(1, PACK_MAX_ROWS + 1):
-            coeffs = rng.integers(0, 1 << 16, (m, 5), dtype=np.uint16)
-            b = rng.integers(0, 1 << 16, (5, 9001), dtype=np.uint16)
-            plan = MulPlan16(coeffs)
-            assert plan.packed
-            want = gf16_matmul_reference(coeffs, b)
-            assert np.array_equal(plan.apply(b), want)
-            assert np.array_equal(plan.apply_rows(list(b)), want)
+        k = 5
+        for m in range(1, kernels.COMBINE_MAX_ROWS + 2):
+            a8 = self._coeffs(rng, m, k, 256).astype(np.uint8)
+            a16 = self._coeffs(rng, m, k, 1 << 16).astype(np.uint16)
+            plan8, plan16 = kernels.MulPlan8(a8), kernels.MulPlan16(a16)
+            for n in self.NBYTES:
+                b8 = rng.integers(0, 256, (k, n), dtype=np.uint8)
+                assert np.array_equal(plan8.apply(b8), gf_matmul_reference(a8, b8))
+                b16 = rng.integers(0, 1 << 16, (k, n), dtype=np.uint16)
+                want = gf16_matmul_reference(a16, b16)
+                assert np.array_equal(plan16.apply(b16), want)
+                assert np.array_equal(plan16.apply_rows(list(b16)), want)
 
-    def test_wider_than_pack_uses_combined(self):
+    def test_default_tile_straddle(self):
         from repro.gf.field16 import gf16_matmul_reference
-        from repro.gf.kernels import PACK_MAX_ROWS, MulPlan16
+        from repro.gf.matrix import gf_matmul_reference
 
-        rng = np.random.default_rng(16)
-        m = PACK_MAX_ROWS + 1
-        coeffs = rng.integers(0, 1 << 16, (m, 4), dtype=np.uint16)
-        b = rng.integers(0, 1 << 16, (4, 8001), dtype=np.uint16)
-        plan = MulPlan16(coeffs)
-        assert not plan.packed and plan.combined
+        # m = 3 pads to 4 lanes: 2**22 / 16 = 262144 symbols a tile.
+        rng = np.random.default_rng(14)
+        a8 = rng.integers(1, 256, (3, 2), dtype=np.uint8)
+        b8 = rng.integers(0, 256, (2, 2 * 262144 + 5), dtype=np.uint8)
         assert np.array_equal(
-            plan.apply(b), gf16_matmul_reference(coeffs, b)
+            kernels.MulPlan8(a8).apply(b8), gf_matmul_reference(a8, b8)
         )
+        a16 = rng.integers(1, 1 << 16, (3, 2), dtype=np.uint16)
+        b16 = rng.integers(0, 1 << 16, (2, 262144 + 3), dtype=np.uint16)
+        assert np.array_equal(
+            kernels.MulPlan16(a16).apply_rows(list(b16)),
+            gf16_matmul_reference(a16, b16),
+        )
+
+    def test_table_rows_are_power_of_two(self):
+        rng = np.random.default_rng(16)
+        for m in range(1, kernels.COMBINE_MAX_ROWS + 1):
+            for plan in (
+                kernels.MulPlan8(rng.integers(1, 256, (m, 3), dtype=np.uint8)),
+                kernels.MulPlan16(
+                    rng.integers(1, 1 << 16, (m, 3), dtype=np.uint16)
+                ),
+            ):
+                assert len(plan.tables) == 3
+                for tab in plan.tables:
+                    width = tab.shape[1]
+                    assert tab.shape == (1 << 16, width)
+                    assert width & (width - 1) == 0 and m <= width < 2 * m
+                    assert not tab[:, m:].any()
+
+    def test_resident_bytes_count_padding(self):
+        kernels.clear_plan_caches()
+        try:
+            plan = ConvertibleCode(6, 9).encode_plan()
+            # r = 3 parity rows pad to 4 lanes: 6 x (65536 x 4) uint16.
+            assert plan.nbytes == 6 * (1 << 16) * 4 * 2 == 3 << 20
+            stats = kernels.cache_stats()
+            assert stats["plan8_bytes"] == plan.nbytes
+            assert stats["resident_bytes"] >= plan.nbytes
+        finally:
+            kernels.clear_plan_caches()
 
 
 class TestGf16ScaleXor:

@@ -1,5 +1,7 @@
 """Checksums, corruption detection and the scrubber (§6.1)."""
 
+import zlib
+
 import numpy as np
 
 from repro.core.schemes import CodeKind, ECScheme, HybridScheme
@@ -40,6 +42,18 @@ class TestRegistry:
         b = a.copy()
         b[63] = 1
         assert chunk_checksum(a) != chunk_checksum(b)
+
+    def test_checksum_is_crc32_of_the_bytes(self):
+        data = np.random.default_rng(3).integers(0, 256, 4099, dtype=np.uint8)
+        strided = data[1::3]
+        assert not strided.flags.c_contiguous
+        assert chunk_checksum(data) == zlib.crc32(bytes(data))
+        assert chunk_checksum(strided) == zlib.crc32(bytes(strided))
+        assert chunk_checksum(data[:0]) == zlib.crc32(b"")
+        # Non-uint8 inputs are checksummed as their values cast to bytes.
+        wide = data.astype(np.int64)
+        assert chunk_checksum(wide) == zlib.crc32(bytes(wide.tolist()))
+        assert chunk_checksum(wide[::2]) == zlib.crc32(bytes(data[::2]))
 
 
 class TestWritePathsRegisterChecksums:
