@@ -29,6 +29,7 @@ examples:
 	$(PYTHON) examples/service_trace_analysis.py
 	$(PYTHON) examples/fault_tolerance_demo.py
 	$(PYTHON) examples/cluster_lifetime_sim.py
+	$(PYTHON) examples/wide_stripes.py
 
 all: test bench-suite
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.core.schemes import HybridScheme
 from repro.dfs.blocks import ChunkKind, ChunkMeta, FileMeta
+from repro.dfs.integrity import crc32_concat
 
 class AppendSupport:
     """Mixin providing append_file / close_file on MorphFS.
@@ -26,7 +27,7 @@ class AppendSupport:
         meta = self.namenode.lookup(name)
         if not isinstance(meta.scheme, HybridScheme):
             raise ValueError(f"append requires a hybrid file, {name} is {meta.scheme}")
-        data = np.asarray(data, dtype=np.uint8).reshape(-1)
+        data = np.asarray(data, dtype=np.uint8).reshape(-1)  # copied below
         ec = meta.scheme.ec
         span = ec.k * self.chunk_size
         open_start = (meta.size // span) * span
@@ -36,6 +37,7 @@ class AppendSupport:
             if tail_len
             else np.zeros(0, dtype=np.uint8)
         )
+        # The write's one copy of the caller's bytes.
         region = np.concatenate([existing, data])
         self._drop_open_region(meta, open_start, ec)
         # The drop rewrote placement metadata; note it before the rewrite
@@ -123,20 +125,12 @@ class AppendSupport:
         ec = hy.ec
         placement = self._placement_for(meta.name, ec)
         code = self.codec_for(ec)
-        n_chunks = -(-len(region) // self.chunk_size) if len(region) else 0
-        chunks = []
-        for i in range(n_chunks):
-            piece = region[i * self.chunk_size : (i + 1) * self.chunk_size]
-            if len(piece) < self.chunk_size:
-                padded = np.zeros(self.chunk_size, dtype=np.uint8)
-                padded[: len(piece)] = piece
-                piece = padded
-            chunks.append(np.asarray(piece, dtype=np.uint8))
-        for s in range(0, len(chunks), ec.k):
+        rows = self._data_chunks(region, 1)  # only the last chunk is padded
+        for s in range(0, len(rows), ec.k):
             stripe_index = first_stripe + s // ec.k
-            stripe_chunks = chunks[s : s + ec.k]
+            stripe_chunks = rows[s : s + ec.k]
             is_open = len(stripe_chunks) < ec.k
-            block_bytes = np.concatenate(stripe_chunks)
+            block_bytes = stripe_chunks.reshape(-1)
             spots = placement.place_stripe(meta.name, stripe_index, ec.k, ec.n - ec.k)
             ec_nodes = spots["data"] + spots["parity"]
             # Open stripes persist one extra replica for durability (§4.2).
@@ -145,7 +139,7 @@ class AppendSupport:
             replica_nodes = placement.place_replicas(
                 meta.name, stripe_index, n_targets, exclude=ec_nodes
             )
-            self._write_replica_pipeline(
+            block_meta, temps = self._write_replica_pipeline(
                 meta,
                 stripe_index,
                 first_chunk=first_stripe * ec.k + s,
@@ -157,7 +151,7 @@ class AppendSupport:
             )
             striper = replica_nodes[-1]
             if is_open:
-                stripe_meta = self._store_stripe(
+                stripe_meta, data_crcs = self._store_stripe(
                     meta, stripe_index, stripe_chunks, [],
                     spots["data"][: len(stripe_chunks)], [], ec, src=striper,
                 )
@@ -165,13 +159,15 @@ class AppendSupport:
             else:
                 parities = code.encode(stripe_chunks)
                 self.charge_node_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
-                self._store_stripe(
+                _, data_crcs = self._store_stripe(
                     meta, stripe_index, stripe_chunks, parities,
                     spots["data"], spots["parity"], ec, src=striper,
                 )
-            for i, node_id in enumerate(replica_nodes):
-                if i >= persist:
-                    self._drop_temp_replica(node_id, f"{meta.name}/r{stripe_index}c{i}")
+            self._record_replica_checksums(
+                block_meta, block_bytes, crc32_concat(data_crcs, self.chunk_size)
+            )
+            for node_id, chunk_id in temps:
+                self.datanodes[node_id].drop_from_memory(chunk_id)
 
     def _trim_extra_replica(self, meta: FileMeta, block, copies: int) -> None:
         """Drop the extra open-stripe replica once parities are durable."""

@@ -4,6 +4,15 @@ A chunk received into memory is durable (battery-backed RAM, §4.2) but
 costs no disk IO until persisted. Morph's hybrid write protocol exploits
 exactly this: temporary replicas live in memory and are deleted once the
 stripe's parities persist, so in the common case they never touch disk.
+
+Ownership rule: chunks are immutable once written, as on a GFS/HDFS
+chunkserver. A datanode keeps a read-only view of the array it is handed,
+without copying it, so a buffer handed to a datanode must never be written
+again. Every stored array, and everything :meth:`Datanode.read` and
+:meth:`Datanode.read_range` return, is read-only; a write through one
+raises instead of silently changing a stored chunk. Callers that need to
+own their bytes (the filesystem's ``write_file``) copy them once before
+handing them down.
 """
 
 from __future__ import annotations
@@ -21,6 +30,14 @@ class ChunkNotFoundError(KeyError):
 
 class BufferCacheFullError(RuntimeError):
     """The battery-backed buffer cache cannot absorb another chunk."""
+
+
+def _frozen(data: np.ndarray) -> np.ndarray:
+    """A read-only view of ``data`` as uint8 bytes (no copy when it
+    already is)."""
+    view = np.asarray(data, dtype=np.uint8).view()
+    view.flags.writeable = False
+    return view
 
 
 class Datanode:
@@ -44,7 +61,7 @@ class Datanode:
         self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0
     ) -> None:
         """Absorb a chunk into the buffer cache (durable, no disk IO)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = _frozen(data)
         in_use = self.metrics.node(self.node_id).memory_in_use_bytes
         if in_use + data.nbytes > self.buffer_cache_bytes:
             raise BufferCacheFullError(
@@ -52,14 +69,14 @@ class Datanode:
             )
         self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
         self.metrics.node(self.node_id).use_memory(data.nbytes)
-        self._memory[chunk_id] = data.copy()
+        self._memory[chunk_id] = data
 
     def receive_to_disk(self, chunk_id: str, data: np.ndarray, src: str, at: float = 0.0) -> None:
         """Receive and write through to disk (one network + one disk write)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = _frozen(data)
         self.metrics.record_transfer(src, self.node_id, data.nbytes, at=at)
         self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
-        self._disk[chunk_id] = data.copy()
+        self._disk[chunk_id] = data
 
     def receive_many_to_disk(
         self,
@@ -125,9 +142,9 @@ class Datanode:
     # -- local compute ----------------------------------------------------------
     def store_local(self, chunk_id: str, data: np.ndarray, at: float = 0.0) -> None:
         """Write a locally computed chunk to disk (no network)."""
-        data = np.asarray(data, dtype=np.uint8)
+        data = _frozen(data)
         self.metrics.record_disk_write(self.node_id, data.nbytes, at=at)
-        self._disk[chunk_id] = data.copy()
+        self._disk[chunk_id] = data
 
     def store_local_many(
         self, items: Iterable[Tuple[str, np.ndarray]], at: float = 0.0
@@ -135,9 +152,6 @@ class Datanode:
         """Write a batch of locally computed chunks (per-chunk metering)."""
         for chunk_id, data in items:
             self.store_local(chunk_id, data, at=at)
-
-    def charge_cpu(self, seconds: float) -> None:
-        self.metrics.record_cpu(self.node_id, seconds)
 
     # -- deletion / capacity ------------------------------------------------------
     def delete(self, chunk_id: str, at: float = 0.0) -> None:
@@ -151,9 +165,6 @@ class Datanode:
 
     def memory_bytes(self) -> float:
         return float(sum(c.nbytes for c in self._memory.values()))
-
-    def disk_chunk_ids(self):
-        return list(self._disk)
 
     def fail(self) -> None:
         """Crash the node: disk survives but is unreachable; memory is lost

@@ -44,6 +44,7 @@ from repro.dfs.blocks import (
 )
 from repro.dfs.appends import AppendSupport
 from repro.dfs.client import ClientReader
+from repro.dfs.integrity import ChecksumRegistry, crc32_concat
 from repro.dfs.namenode import ConversionGroup, Namenode
 from repro.dfs.transcoder import NativeTranscoder, RRWTranscoder, TranscodeError
 from repro.sched.scheduler import MaintenanceScheduler
@@ -76,8 +77,6 @@ class _BaseDFS:
             )
             for node in self.cluster.nodes
         }
-        from repro.dfs.integrity import ChecksumRegistry
-
         #: pluggable control plane: a plain in-memory Namenode by
         #: default; callers can inject a JournaledNamenode (durable) or
         #: a ShardedNamenode (hash-partitioned namespace) — the facade
@@ -168,12 +167,6 @@ class _BaseDFS:
     def charge_node_encode(self, node_id: str, width: int, out_parities: int, nbytes: float) -> None:
         self.metrics.record_cpu(node_id, self.encode_cpu_seconds(width, out_parities, nbytes))
 
-    # -- reachability ----------------------------------------------------------
-    def node_reachable(self, node_id: str, endpoint: str = CLIENT) -> bool:
-        """Can ``endpoint`` (a node id, ``client`` or ``namenode``) reach
-        the node through the current partition mask?"""
-        return self.partition.reachable(node_id, endpoint)
-
     # -- common operations -------------------------------------------------------
     def read_file(
         self,
@@ -211,19 +204,25 @@ class _BaseDFS:
         return sum(dn.memory_bytes() for dn in self.datanodes.values())
 
     # -- write helpers ----------------------------------------------------------
-    def _data_chunks(self, data: np.ndarray, k: int) -> List[np.ndarray]:
-        """Split into chunk_size pieces, zero-padding the last stripe."""
-        chunks = []
-        for start in range(0, len(data), self.chunk_size):
-            piece = data[start : start + self.chunk_size]
-            if len(piece) < self.chunk_size:
-                padded = np.zeros(self.chunk_size, dtype=np.uint8)
-                padded[: len(piece)] = piece
-                piece = padded
-            chunks.append(np.asarray(piece, dtype=np.uint8))
-        while len(chunks) % k:
-            chunks.append(np.zeros(self.chunk_size, dtype=np.uint8))
-        return chunks
+    @staticmethod
+    def _own_bytes(data) -> np.ndarray:
+        """The write path's one copy of the caller's bytes, flat and
+        contiguous. Datanodes keep read-only views of it (see the ownership
+        rule in :mod:`repro.dfs.datanode`), so the caller may reuse its
+        buffer as soon as the write returns."""
+        return np.array(data, dtype=np.uint8, order="C").reshape(-1)
+
+    def _data_chunks(self, data: np.ndarray, k: int) -> np.ndarray:
+        """``data`` as ``(n_chunks, chunk_size)`` rows, the last stripe of
+        ``k`` chunks zero-padded. A view of ``data`` when it is
+        stripe-aligned; otherwise one padded buffer."""
+        span = k * self.chunk_size
+        aligned = -(-len(data) // span) * span
+        if aligned != len(data):
+            padded = np.zeros(aligned, dtype=np.uint8)
+            padded[: len(data)] = data
+            data = padded
+        return data.reshape(-1, self.chunk_size)
 
     def _write_replica_pipeline(
         self,
@@ -235,13 +234,19 @@ class _BaseDFS:
         nodes: Sequence[str],
         persist_count: int,
         to_memory: bool,
-    ) -> ReplicaBlockMeta:
+    ) -> Tuple[ReplicaBlockMeta, List[Tuple[str, str]]]:
         """Mirror a block down a chain of nodes (HDFS-style pipeline).
 
         The block meta is linked into ``meta.replica_blocks`` *before*
         the per-copy placement notes: a journaled namenode turns each
         note into a full-file record, and a recovery cut at any record
         boundary must see exactly the placements made so far.
+
+        Checksums are left to the caller (see
+        :meth:`_record_replica_checksums`), which may already know the
+        block's CRC. Returns the block meta and the ``(node, chunk id)``
+        of each copy past ``persist_count``: temporary replicas the caller
+        drops once the stripe is durable.
         """
         copies: List[ChunkMeta] = []
         prev = CLIENT
@@ -264,7 +269,6 @@ class _BaseDFS:
             else:
                 datanode.receive_to_disk(chunk_id, block_bytes, src=prev, at=self.clock)
             if i < persist_count:
-                self.checksums.record(chunk_id, block_bytes)
                 copies.append(
                     ChunkMeta(chunk_id, node_id, ChunkKind.REPLICA, block_bytes.nbytes)
                 )
@@ -273,7 +277,21 @@ class _BaseDFS:
         if to_memory:
             for i in range(persist_count):
                 self.datanodes[nodes[i]].persist(copies[i].chunk_id, at=self.clock)
-        return block_meta
+        return block_meta, list(zip(nodes[persist_count:], chunk_ids[persist_count:]))
+
+    def _record_replica_checksums(
+        self, block: ReplicaBlockMeta, block_bytes: np.ndarray, crc: Optional[int] = None
+    ) -> None:
+        """Register the checksum of every persisted copy of a block.
+
+        All copies hold the same bytes, so the block is CRC'd at most once
+        (not at all when ``crc`` is given).
+        """
+        for copy in block.copies:
+            if crc is None:
+                crc = self.checksums.record(copy.chunk_id, block_bytes)
+            else:
+                self.checksums.record_crc(copy.chunk_id, crc)
 
     def _write_replicated(self, meta: FileMeta, data: np.ndarray, copies: int) -> None:
         placement = DefaultPlacement(self.cluster, seed=self.seed + zlib.crc32(meta.name.encode()) % 997)
@@ -281,9 +299,9 @@ class _BaseDFS:
         span = self.replication_block_chunks * self.chunk_size
         block_index = 0
         for start in range(0, max(len(data), 1), span):
-            block = np.asarray(data[start : start + span], dtype=np.uint8)
+            block = data[start : start + span]
             nodes = placement.place_replicas(copies)
-            self._write_replica_pipeline(
+            block_meta, _ = self._write_replica_pipeline(
                 meta,
                 block_index,
                 first_chunk=start // self.chunk_size,
@@ -293,6 +311,7 @@ class _BaseDFS:
                 persist_count=copies,
                 to_memory=False,
             )
+            self._record_replica_checksums(block_meta, block)
             block_index += 1
 
     def _write_ec(self, meta: FileMeta, data: np.ndarray, ec: ECScheme) -> None:
@@ -325,7 +344,10 @@ class _BaseDFS:
         ec: ECScheme,
         src: str = CLIENT,
         parity_src: Optional[str] = None,
-    ) -> ECStripeMeta:
+    ) -> Tuple[ECStripeMeta, List[int]]:
+        """Fan a stripe's chunks out to their nodes; returns the stripe
+        meta and the data chunks' CRCs (a replica block of the same bytes
+        derives its checksum from them)."""
         parity_src = parity_src or src
         k = len(data_chunks)
         note_chunk = self.namenode.note_chunk
@@ -340,10 +362,11 @@ class _BaseDFS:
             parities=[],
         )
         meta.stripes.append(stripe_meta)
+        data_crcs = []
         for t, chunk in enumerate(data_chunks):
             chunk_id = data_ids[t]
             self.datanodes[data_nodes[t]].receive_to_disk(chunk_id, chunk, src=src, at=self.clock)
-            self.checksums.record(chunk_id, chunk)
+            data_crcs.append(self.checksums.record(chunk_id, chunk))
             stripe_meta.data.append(
                 ChunkMeta(chunk_id, data_nodes[t], ChunkKind.DATA, chunk.nbytes)
             )
@@ -362,7 +385,7 @@ class _BaseDFS:
                 ChunkMeta(chunk_id, parity_nodes[j], kinds[j], parity.nbytes)
             )
             note_chunk(parity_nodes[j], meta.name)
-        return stripe_meta
+        return stripe_meta, data_crcs
 
     @staticmethod
     def _parity_kinds(ec: ECScheme) -> List[ChunkKind]:
@@ -383,7 +406,7 @@ class BaselineDFS(_BaseDFS):
     """HDFS-like baseline: 3-r / RS ingest, client RRW transcode."""
 
     def write_file(self, name: str, data, scheme: RedundancyScheme) -> FileMeta:
-        data = np.asarray(data, dtype=np.uint8).reshape(-1)
+        data = self._own_bytes(data)
         meta = FileMeta(
             name=name, size=len(data), chunk_size=self.chunk_size, scheme=scheme
         )
@@ -477,7 +500,7 @@ class MorphFS(AppendSupport, _BaseDFS):
 
     # -- writes -----------------------------------------------------------------
     def write_file(self, name: str, data, scheme: RedundancyScheme) -> FileMeta:
-        data = np.asarray(data, dtype=np.uint8).reshape(-1)
+        data = self._own_bytes(data)
         meta = FileMeta(
             name=name, size=len(data), chunk_size=self.chunk_size, scheme=scheme
         )
@@ -527,8 +550,8 @@ class MorphFS(AppendSupport, _BaseDFS):
         ec = hy.ec
         placement = self._placement_for(meta.name, ec)
         code = self.codec_for(ec)
-        chunks = self._data_chunks(data, ec.k)
-        stripe_lists = [chunks[s : s + ec.k] for s in range(0, len(chunks), ec.k)]
+        rows = self._data_chunks(data, ec.k)
+        stripe_lists = [rows[s : s + ec.k] for s in range(0, len(rows), ec.k)]
         # Parities for every stripe in one batched kernel invocation; the
         # CPU charge (striper vs client, per parity_mode) stays per
         # stripe below, so accounting totals are unchanged.
@@ -536,10 +559,9 @@ class MorphFS(AppendSupport, _BaseDFS):
             parities_batch: List[List[np.ndarray]] = [[] for _ in stripe_lists]
         else:
             parities_batch = code.encode_batch(stripe_lists)
-        for s in range(0, len(chunks), ec.k):
-            stripe_index = s // ec.k
-            stripe_chunks = chunks[s : s + ec.k]
-            block_bytes = np.concatenate(stripe_chunks)
+        for stripe_index, stripe_chunks in enumerate(stripe_lists):
+            # The replica block and the data chunks are views of one buffer.
+            block_bytes = stripe_chunks.reshape(-1)
             spots = placement.place_stripe(meta.name, stripe_index, ec.k, ec.n - ec.k)
             ec_nodes = spots["data"] + spots["parity"]
             persist_replicas = hy.copies + (1 if self.parity_mode == "none" else 0)
@@ -548,10 +570,10 @@ class MorphFS(AppendSupport, _BaseDFS):
             replica_nodes = placement.place_replicas(
                 meta.name, stripe_index, n_replica_targets, exclude=ec_nodes
             )
-            self._write_replica_pipeline(
+            block_meta, temps = self._write_replica_pipeline(
                 meta,
                 stripe_index,
-                first_chunk=s,
+                first_chunk=stripe_index * ec.k,
                 n_chunks=len(stripe_chunks),
                 block_bytes=block_bytes,
                 nodes=replica_nodes,
@@ -567,7 +589,7 @@ class MorphFS(AppendSupport, _BaseDFS):
             elif self.parity_mode == "async":
                 self.charge_node_encode(striper, ec.k, ec.n - ec.k, self.chunk_size)
             parity_src = CLIENT if self.parity_mode == "sync" else striper
-            stripe_meta = self._store_stripe(
+            stripe_meta, data_crcs = self._store_stripe(
                 meta,
                 stripe_index,
                 stripe_chunks,
@@ -580,20 +602,12 @@ class MorphFS(AppendSupport, _BaseDFS):
             )
             if self.parity_mode == "none":
                 stripe_meta.n = stripe_meta.k
+            self._record_replica_checksums(
+                block_meta, block_bytes, crc32_concat(data_crcs, self.chunk_size)
+            )
             # Parities persisted: temporary replicas leave memory for free.
-            for i, node_id in enumerate(replica_nodes):
-                if i >= persist_replicas:
-                    # Temp replica ids share the block's batched-mint
-                    # prefix; each pipeline node holds one copy, so the
-                    # (node, prefix) pair pins it exactly.
-                    chunk_id = f"{meta.name}/r{stripe_index}c"
-                    self._drop_temp_replica(node_id, chunk_id)
-
-    def _drop_temp_replica(self, node_id: str, chunk_id_prefix: str) -> None:
-        datanode = self.datanodes[node_id]
-        for cid in list(datanode._memory):
-            if cid.startswith(chunk_id_prefix):
-                datanode.drop_from_memory(cid)
+            for node_id, chunk_id in temps:
+                self.datanodes[node_id].drop_from_memory(chunk_id)
 
     # -- native transcode ----------------------------------------------------------
     def transcode(self, name: str, target: RedundancyScheme, heartbeats: bool = True) -> FileMeta:

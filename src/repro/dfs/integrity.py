@@ -5,13 +5,18 @@ at write time. Reads verify lazily; a background *scrubber* sweeps
 datanodes on its own schedule. A checksum mismatch is treated exactly
 like a missing chunk — the Namenode bundles the block's metadata and
 hands reconstruction to :class:`repro.dfs.recovery.RecoveryManager`.
+
+A byte range is CRC'd once: a replica block holds the same bytes as its
+stripe's data chunks, so its checksum is combined from theirs
+(:func:`crc32_concat`) instead of being computed over the block again.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +32,76 @@ def chunk_checksum(data: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(data, dtype=np.uint8))
 
 
+_CRC32_POLY = 0xEDB88320  # reflected CRC-32 polynomial, as in zlib
+
+
+def _gf2_mul(a: int, b: int) -> int:
+    """Product of two polynomials mod the CRC-32 polynomial (zlib's
+    ``multmodp``; bit 31 is x^0, bit 0 is x^31)."""
+    product = 0
+    m = 1 << 31
+    while a:
+        if a & m:
+            product ^= b
+            a ^= m
+        m >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+    return product
+
+
+@functools.lru_cache(maxsize=16)  # one entry per chunk size in use
+def _shift_tables(length: int) -> Tuple[Tuple[int, ...], ...]:
+    """Four 256-entry tables of the linear map crc -> crc * x^(8*length).
+
+    That map carries ``crc32(A)`` past ``length`` further bytes, so
+    ``crc32(A + B) == shift(crc32(A)) ^ crc32(B)`` (zlib's
+    ``crc32_combine``). The tables split it by input byte: table ``j``
+    holds the image of every value of byte ``j``.
+    """
+    # x^(8*length) by square-and-multiply over the bits of the exponent.
+    power, square, n = 1 << 31, 1 << 30, 8 * length  # x^0, x^1
+    while n:
+        if n & 1:
+            power = _gf2_mul(power, square)
+        n >>= 1
+        if n:
+            square = _gf2_mul(square, square)
+    # Images of the 32 basis bits, x^0 (bit 31) first: each is the one
+    # before times x, a single reflected shift step.
+    images = [0] * 32
+    value = power
+    for bit in range(31, -1, -1):
+        images[bit] = value
+        value = (value >> 1) ^ _CRC32_POLY if value & 1 else value >> 1
+    tables = []
+    for j in range(4):
+        table = [0] * 256
+        for t in range(8):
+            step, image = 1 << t, images[8 * j + t]
+            for low in range(step):
+                table[step | low] = table[low] ^ image
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def crc32_concat(crcs: Sequence[int], piece_len: int) -> int:
+    """CRC32 of the concatenation of equal-length pieces, from their CRCs.
+
+    Equals ``zlib.crc32`` over the joined bytes without reading them; each
+    further piece costs four table lookups.
+    """
+    if not crcs:
+        return 0
+    t0, t1, t2, t3 = _shift_tables(piece_len)
+    crc = crcs[0]
+    for piece in crcs[1:]:
+        crc = (
+            t0[crc & 0xFF] ^ t1[(crc >> 8) & 0xFF]
+            ^ t2[(crc >> 16) & 0xFF] ^ t3[crc >> 24] ^ piece
+        )
+    return crc
+
+
 class ChecksumRegistry:
     """Write-time checksums, keyed by chunk id.
 
@@ -39,8 +114,15 @@ class ChecksumRegistry:
     def __init__(self):
         self._sums: Dict[str, int] = {}
 
-    def record(self, chunk_id: str, data: np.ndarray) -> None:
-        self._sums[chunk_id] = chunk_checksum(data)
+    def record(self, chunk_id: str, data: np.ndarray) -> int:
+        """Checksum ``data`` and store it for ``chunk_id``; returns the CRC."""
+        crc = self._sums[chunk_id] = chunk_checksum(data)
+        return crc
+
+    def record_crc(self, chunk_id: str, crc: int) -> None:
+        """Store an already-known CRC (a further copy of recorded bytes,
+        or one combined with :func:`crc32_concat`)."""
+        self._sums[chunk_id] = crc
 
     def forget(self, chunk_id: str) -> None:
         self._sums.pop(chunk_id, None)
@@ -130,4 +212,5 @@ def corrupt_chunk(fs, chunk: ChunkMeta, flip_byte: int = 0) -> None:
         raise KeyError(f"{chunk.chunk_id} not on disk at {chunk.node_id}")
     data = data.copy()
     data[flip_byte % len(data)] ^= 0xFF
+    data.flags.writeable = False  # stored chunks are read-only
     datanode._disk[chunk.chunk_id] = data

@@ -117,3 +117,33 @@ class TestCapacity:
         dn.store_local("c1", np.ones(40, np.uint8))
         assert metrics.node("dn0").net_bytes_in == 0
         assert metrics.node("dn0").disk_bytes_written == 40
+
+
+class TestOwnership:
+    """A datanode keeps a read-only view of the buffer it is handed."""
+
+    @pytest.mark.parametrize("store", ["memory", "disk", "local"])
+    def test_store_keeps_a_read_only_view(self, store):
+        dn, _ = make()
+        data = np.arange(64, dtype=np.uint8)
+        if store == "memory":
+            dn.receive_to_memory("c1", data, src="client")
+            dn.persist("c1")  # persisting moves the same buffer
+        elif store == "disk":
+            dn.receive_to_disk("c1", data, src="client")
+        else:
+            dn.store_local("c1", data)
+        stored = dn.read("c1")
+        assert np.shares_memory(stored, data)  # no copy
+        assert not stored.flags.writeable
+        assert data.flags.writeable  # the caller's own handle is untouched
+        with pytest.raises(ValueError):
+            stored[0] = 1
+        with pytest.raises(ValueError):
+            dn.read_range("c1", 4, 8)[0] = 1
+
+    def test_memory_reads_are_read_only(self):
+        dn, _ = make()
+        dn.receive_to_memory("c1", np.ones(32, np.uint8), src="client")
+        assert not dn.read("c1").flags.writeable
+        assert not dn.read_range("c1", 0, 8).flags.writeable
